@@ -112,7 +112,7 @@ double time_lookups(store::MeasurementStore& store,
     for (std::size_t r = 0; r < rounds; ++r) {
       for (std::size_t i = 0; i < n; ++i) {
         const auto& key = keys[(offset + i) % n];
-        if (store.lookup(key).has_value()) ++alive;
+        if (store.lookup(key) != nullptr) ++alive;
       }
     }
     if (alive != rounds * n) {
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < keys.size(); ++i) {
       Json payload = Json::object();
       payload["value"] = static_cast<double>(i) * 0.5;
-      writer.insert(keys[i], payload);
+      writer.insert(keys[i], std::move(payload));
     }
   }
 

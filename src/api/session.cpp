@@ -24,7 +24,7 @@ Session::Session(SessionConfig config)
   store_.open(
       config_.cache_dir(),
       store::resolve_store_mode(config_.cache_mode(), config_.cache_dir()),
-      config_.scope(), config_.store_shards());
+      config_.scope(), config_.store_shards(), jobs_);
 }
 
 hwsim::NodeSimulator& Session::training_node() {
@@ -66,6 +66,7 @@ const model::EnergyModel& Session::train_model() {
                            // identical for any value
   model_.emplace(model_cfg);
   model_->train(dataset, config_.epochs());
+  cache_model_dump();
   return *model_;
 }
 
@@ -73,6 +74,13 @@ void Session::use_model(model::EnergyModel model) {
   ensure(model.trained(),
          "Session::use_model: the injected energy model is untrained");
   model_ = std::move(model);
+  cache_model_dump();
+}
+
+void Session::cache_model_dump() {
+  // Only store keys read the dump, and whether the store is enabled never
+  // changes after construction.
+  if (store_.enabled()) model_dump_ = model_->to_json().dump(-1);
 }
 
 const model::EnergyModel& Session::model() const {
@@ -172,7 +180,7 @@ CampaignReport Session::run_dta_campaign(
         .add("engine.seed", po.engine.seed)
         // The trained model determines every frequency recommendation, so
         // its full weight state is part of each campaign row's identity.
-        .add("model", trained.to_json().dump(-1));
+        .add("model", model_dump_);
   }
 
   struct Outcome {
@@ -224,7 +232,7 @@ CampaignReport Session::run_dta_campaign(
           Json payload = Json::object();
           payload["dta"] = out.result.to_json();
           payload["elapsed"] = out.elapsed.value();
-          cache->insert(key, payload);
+          cache->insert(key, std::move(payload));
         }
         return out;
       },
@@ -323,7 +331,7 @@ DtaReport Session::run_dta_shared(const workload::Benchmark& app,
              po.engine.iterations_per_scenario)
         .add("engine.measurement_noise", po.engine.measurement_noise)
         .add("engine.seed", po.engine.seed)
-        .add("model", trained.to_json().dump(-1))
+        .add("model", model_dump_)
         .add("noise_key", noise_key)
         .add_digest("app", app.fingerprint_digest());
     key.task = "dta/" + noise_key;
@@ -361,7 +369,7 @@ DtaReport Session::run_dta_shared(const workload::Benchmark& app,
     Json payload = Json::object();
     payload["dta"] = report.result.to_json();
     payload["elapsed"] = (node.now() - t0).value();
-    cache->insert(key, payload);
+    cache->insert(key, std::move(payload));
   }
   return report;
 }
@@ -440,7 +448,7 @@ core::SavingsRow Session::evaluate_savings_shared(
         .add("static.cf_stride", opts.static_search.cf_stride)
         .add("static.ucf_stride", opts.static_search.ucf_stride)
         .add("static.phase_iterations", opts.static_search.phase_iterations)
-        .add("model", trained.to_json().dump(-1));
+        .add("model", model_dump_);
     for (int t : opts.static_search.thread_counts)
       fp.add("static.thread_count", t);
     fp.add("noise_key", noise_key).add_digest("app", app.fingerprint_digest());
@@ -465,7 +473,7 @@ core::SavingsRow Session::evaluate_savings_shared(
     Json payload = Json::object();
     payload["row"] = row.to_json();
     payload["elapsed"] = (node.now() - t0).value();
-    cache->insert(key, payload);
+    cache->insert(key, std::move(payload));
   }
   return row;
 }

@@ -415,6 +415,8 @@ class Session {
  private:
   [[nodiscard]] core::DvfsUfsPlugin::Options plugin_options();
   [[nodiscard]] tuners::TunerContext tuner_context();
+  /// Refreshes model_dump_ from model_.
+  void cache_model_dump();
 
   SessionConfig config_;
   int jobs_;
@@ -422,6 +424,10 @@ class Session {
   std::optional<hwsim::NodeSimulator> training_node_;
   std::optional<hwsim::NodeSimulator> tuning_node_;
   std::optional<model::EnergyModel> model_;
+  /// Compact dump of model_, the "model" component of every store key that
+  /// depends on the trained weights. Set once per model (store-backed
+  /// sessions only), so no request re-serializes the model for its key.
+  std::string model_dump_;
   /// Persistent per-strategy instances (tune-call decorrelation counters
   /// live on the tuner objects, so caching them preserves the hand-wired
   /// drivers' noise schedule across repeated calls). Guarded: tuner() is

@@ -142,7 +142,7 @@ ExhaustiveTuningResult ExhaustiveTuner::tune(
           payload["regions"] = std::move(regions);
           payload["wall_time"] = out.wall_time.value();
           payload["elapsed"] = out.elapsed.value();
-          cache->insert(cache_key, payload);
+          cache->insert(cache_key, std::move(payload));
         }
         return out;
       },

@@ -103,7 +103,7 @@ StaticTuningResult StaticTuner::tune(const workload::Benchmark& app,
           payload["cpu_energy"] = e.point.cpu_energy.value();
           payload["time"] = e.point.time.value();
           payload["elapsed"] = e.elapsed.value();
-          cache->insert(cache_key, payload);
+          cache->insert(cache_key, std::move(payload));
         }
         return e;
       },

@@ -28,4 +28,10 @@ inline void ensure(bool condition, const std::string& message) {
   if (!condition) throw PreconditionError(message);
 }
 
+/// Literal-message overload: builds no std::string unless the check fails,
+/// so a passing check on a hot path costs one branch.
+inline void ensure(bool condition, const char* message) {
+  if (!condition) throw PreconditionError(message);
+}
+
 }  // namespace ecotune

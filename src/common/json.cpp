@@ -1,10 +1,11 @@
 #include "common/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <system_error>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -22,6 +23,15 @@ double Json::as_number() const {
 
 int Json::as_int() const {
   const double d = as_number();
+  // std::llround of NaN, an infinity or anything that rounds outside int is
+  // unspecified; such values reach here from store payloads, plugin
+  // configs and model files, so refuse them like any other bad field.
+  constexpr double kLow =
+      static_cast<double>(std::numeric_limits<int>::min()) - 0.5;
+  constexpr double kHigh =
+      static_cast<double>(std::numeric_limits<int>::max()) + 0.5;
+  if (!(d > kLow && d < kHigh))
+    throw Error("Json::as_int: " + dump(-1) + " is not an int");
   return static_cast<int>(std::llround(d));
 }
 
@@ -59,8 +69,13 @@ Json& Json::operator[](const std::string& key) {
 const Json& Json::at(const std::string& key) const {
   const auto& obj = as_object();
   auto it = obj.find(key);
-  ensure(it != obj.end(), "Json::at: missing key '" + key + "'");
+  if (it == obj.end())
+    throw PreconditionError("Json::at: missing key '" + key + "'");
   return it->second;
+}
+
+Json& Json::at(const std::string& key) {
+  return const_cast<Json&>(std::as_const(*this).at(key));
 }
 
 bool Json::contains(const std::string& key) const {
@@ -182,10 +197,24 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
-/// Recursive-descent JSON parser.
+/// The six characters std::isspace accepts in the "C" locale, spelled out
+/// so parsing never consults (or pays for) the process locale.
+constexpr bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// Characters a number token may span; std::from_chars validates the token.
+constexpr bool is_number_char(char c) {
+  return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+         c == '+' || c == '-';
+}
+
+/// Recursive-descent JSON parser. Error messages are built only on the
+/// failure path (literal messages go through ensure(bool, const char*)).
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   Json parse() {
     skip_ws();
@@ -197,9 +226,7 @@ class Parser {
 
  private:
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
+    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
   }
 
   char peek() {
@@ -214,7 +241,9 @@ class Parser {
   }
 
   void expect(char c) {
-    ensure(next() == c, std::string("Json::parse: expected '") + c + "'");
+    if (next() != c)
+      throw PreconditionError(std::string("Json::parse: expected '") + c +
+                              "'");
   }
 
   bool consume_literal(const char* lit) {
@@ -264,7 +293,14 @@ class Parser {
       std::string key = string();
       skip_ws();
       expect(':');
-      obj[std::move(key)] = value();
+      Json v = value();
+      // Json::dump writes keys in sorted order, so appending is the common
+      // case; anything else -- including a duplicate key, which must
+      // overwrite (last wins) -- takes the general path.
+      if (obj.empty() || obj.rbegin()->first < key)
+        obj.emplace_hint(obj.end(), std::move(key), std::move(v));
+      else
+        obj[std::move(key)] = std::move(v);
       skip_ws();
       const char c = next();
       if (c == '}') break;
@@ -295,67 +331,68 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
-      char c = next();
-      if (c == '"') break;
-      if (c == '\\') {
-        char e = next();
-        switch (e) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case '/':
-            out += '/';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 'b':
-            out += '\b';
-            break;
-          case 'f':
-            out += '\f';
-            break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = next();
-              code <<= 4;
-              if (h >= '0' && h <= '9')
-                code += static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f')
-                code += static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F')
-                code += static_cast<unsigned>(h - 'A' + 10);
-              else
-                ensure(false, "Json::parse: bad \\u escape");
-            }
-            // UTF-8 encode (BMP only; surrogate pairs not needed here).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
+      // Copy the run up to the next quote or escape in one append.
+      std::size_t stop = pos_;
+      while (stop < text_.size() && text_[stop] != '"' && text_[stop] != '\\')
+        ++stop;
+      out.append(text_.substr(pos_, stop - pos_));
+      pos_ = stop;
+      if (next() == '"') break;
+      const char e = next();
+      switch (e) {
+        case '"':
+          out += '"';
+          break;
+        case '\\':
+          out += '\\';
+          break;
+        case '/':
+          out += '/';
+          break;
+        case 'n':
+          out += '\n';
+          break;
+        case 't':
+          out += '\t';
+          break;
+        case 'r':
+          out += '\r';
+          break;
+        case 'b':
+          out += '\b';
+          break;
+        case 'f':
+          out += '\f';
+          break;
+        case 'u': {
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            char h = next();
+            code <<= 4;
+            if (h >= '0' && h <= '9')
+              code += static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f')
+              code += static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F')
+              code += static_cast<unsigned>(h - 'A' + 10);
+            else
+              ensure(false, "Json::parse: bad \\u escape");
           }
-          default:
-            ensure(false, "Json::parse: bad escape");
+          // UTF-8 encode (BMP only; surrogate pairs not needed here).
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          }
+          break;
         }
-      } else {
-        out += c;
+        default:
+          ensure(false, "Json::parse: bad escape");
       }
     }
     return out;
@@ -364,11 +401,7 @@ class Parser {
   Json number() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
-      ++pos_;
+    while (pos_ < text_.size() && is_number_char(text_[pos_])) ++pos_;
     ensure(pos_ > start, "Json::parse: bad number");
     // std::from_chars is locale-independent (std::stod honors the process
     // locale and misparses under ',' decimal separators).
@@ -378,17 +411,17 @@ class Parser {
     const auto res = std::from_chars(first, last, value);
     if (res.ec != std::errc() || res.ptr != last) {
       throw Error("Json::parse: bad number '" +
-                  text_.substr(start, pos_ - start) + "'");
+                  std::string(text_.substr(start, pos_ - start)) + "'");
     }
     return Json(value);
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
 };
 
 }  // namespace
 
-Json Json::parse(const std::string& text) { return Parser(text).parse(); }
+Json Json::parse(std::string_view text) { return Parser(text).parse(); }
 
 }  // namespace ecotune

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -54,7 +55,8 @@ class Json {
     return std::holds_alternative<Object>(value_);
   }
 
-  /// Typed accessors; throw Error on type mismatch.
+  /// Typed accessors; throw Error on type mismatch. as_int rounds half away
+  /// from zero and throws Error for NaN, infinities and values outside int.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
   [[nodiscard]] int as_int() const;
@@ -64,9 +66,10 @@ class Json {
   [[nodiscard]] const Object& as_object() const;
   [[nodiscard]] Object& as_object();
 
-  /// Object field access; const version throws if missing.
+  /// Object field access; operator[] inserts null if missing, at() throws.
   Json& operator[](const std::string& key);
   [[nodiscard]] const Json& at(const std::string& key) const;
+  [[nodiscard]] Json& at(const std::string& key);
   [[nodiscard]] bool contains(const std::string& key) const;
 
   /// Array append.
@@ -75,8 +78,9 @@ class Json {
   /// Serializes; indent < 0 means compact single-line output.
   [[nodiscard]] std::string dump(int indent = 2) const;
 
-  /// Parses a JSON document; throws Error on malformed input.
-  [[nodiscard]] static Json parse(const std::string& text);
+  /// Parses a JSON document; throws Error on malformed input. Duplicate
+  /// object keys keep the last value.
+  [[nodiscard]] static Json parse(std::string_view text);
 
   friend bool operator==(const Json& a, const Json& b) {
     return a.value_ == b.value_;

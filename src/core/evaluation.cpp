@@ -192,7 +192,7 @@ std::vector<SavingsRow> SavingsEvaluator::evaluate_all(
           Json payload = Json::object();
           payload["row"] = out.row.to_json();
           payload["elapsed"] = out.elapsed.value();
-          cache->insert(cache_key, payload);
+          cache->insert(cache_key, std::move(payload));
         }
         return out;
       },

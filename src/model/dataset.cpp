@@ -352,7 +352,7 @@ EnergyDataset DataAcquisition::acquire(
           payload["samples"] = std::move(samples);
           payload["runs"] = static_cast<std::int64_t>(out.runs);
           payload["elapsed"] = out.elapsed.value();
-          cache->insert(cache_key, payload);
+          cache->insert(cache_key, std::move(payload));
         }
         return out;
       },

@@ -206,7 +206,7 @@ std::vector<ScenarioResult> ExperimentsEngine::run(
           Json payload = Json::object();
           payload["elapsed"] = out.elapsed.value();
           payload["buckets"] = std::move(buckets);
-          cache->insert(cache_key, payload);
+          cache->insert(cache_key, std::move(payload));
         }
         return out;
       },

@@ -88,6 +88,14 @@ void Server::bind_and_listen() {
   set_nonblocking(fd);
   listen_fd_ = fd;
 
+  if (wake_fds_[0] >= 0) {
+    // Bound before: keep the wake pipe (request_stop() may still write to
+    // it) but drop stop requests left over from the previous serve().
+    char buf[64];
+    while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
+    }
+    return;
+  }
   int pipe_fds[2] = {-1, -1};
   if (::pipe(pipe_fds) != 0) {
     const std::string reason = errno_text();
@@ -155,10 +163,8 @@ void Server::serve() {
   g_wake_fd.store(-1);
   ::close(listen_fd_);
   listen_fd_ = -1;
-  ::close(wake_fds_[0]);
-  ::close(wake_fds_[1]);
-  wake_fds_[0] = -1;
-  wake_fds_[1] = -1;
+  // The wake pipe stays open until the destructor: request_stop() may run
+  // on another thread at any time, even after serve() has returned.
   ::unlink(socket_path_.c_str());
   log::info("serve") << "drained and stopped";
 }

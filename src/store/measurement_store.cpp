@@ -1,14 +1,18 @@
 #include "store/measurement_store.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <filesystem>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <system_error>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 
 namespace ecotune::store {
@@ -25,6 +29,48 @@ std::optional<std::uint64_t> parse_hex_fingerprint(const std::string& text) {
   if (ec != std::errc() || ptr != text.data() + text.size())
     return std::nullopt;
   return value;
+}
+
+/// The on-disk line of one entry: the bytes of
+/// Json{{"fp", hex}, {"payload", payload}, {"task", task}}.dump(-1) + '\n'
+/// (keys in Json's sorted order), built without copying the payload into a
+/// temporary document.
+std::string encode_line(const std::string& task, std::uint64_t fingerprint,
+                        const Json& payload) {
+  std::string line = "{\"fp\":\"" + Fingerprint::to_hex(fingerprint) +
+                     "\",\"payload\":";
+  line += payload.dump(-1);
+  line += ",\"task\":";
+  line += Json(task).dump(-1);
+  line += "}\n";
+  return line;
+}
+
+/// One line of measurements.jsonl after the parallel parse. A blank line
+/// leaves both `payload` and `error` empty.
+struct ParsedLine {
+  std::string task;
+  std::uint64_t fingerprint = 0;
+  std::shared_ptr<const Json> payload;
+  std::optional<std::string> error;  ///< why the line was rejected
+};
+
+ParsedLine parse_line(std::string_view line) {
+  ParsedLine out;
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  if (line.empty()) return out;
+  try {
+    Json entry = Json::parse(line);
+    out.task = entry.at("task").as_string();
+    const auto fp = parse_hex_fingerprint(entry.at("fp").as_string());
+    ensure(fp.has_value(), "bad fingerprint");
+    ensure(!out.task.empty(), "empty task");
+    out.fingerprint = *fp;
+    out.payload = std::make_shared<const Json>(std::move(entry.at("payload")));
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  }
+  return out;
 }
 
 }  // namespace
@@ -67,7 +113,7 @@ MeasurementStore::MeasurementStore(const std::string& cache_dir,
 }
 
 void MeasurementStore::open(const std::string& cache_dir, StoreMode mode,
-                            std::string scope, std::size_t shards) {
+                            std::string scope, std::size_t shards, int jobs) {
   // open() runs before any concurrent use (drivers open during CLI setup),
   // so the one-time setup below needs no locking; load_file still routes
   // entries through the shard locks to keep the analysis contract uniform.
@@ -93,7 +139,7 @@ void MeasurementStore::open(const std::string& cache_dir, StoreMode mode,
 
   dir_ = cache_dir;
   file_path_ = (fs::path(cache_dir) / kStoreFileName).string();
-  if (fs::exists(file_path_)) load_file(file_path_);
+  if (fs::exists(file_path_)) load_file(file_path_, jobs);
 
   if (mode == StoreMode::kReadWrite) {
     // Unbuffered stream + one write() per entry line (below): with the OS
@@ -108,25 +154,31 @@ void MeasurementStore::open(const std::string& cache_dir, StoreMode mode,
   mode_ = mode;
 }
 
-void MeasurementStore::load_file(const std::string& path) {
-  std::ifstream is(path);
-  ensure(is.good(), "MeasurementStore: cannot read '" + path + "'");
-  std::string line;
-  long line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    try {
-      Json entry = Json::parse(line);
-      const std::string& task = entry.at("task").as_string();
-      const auto fp = parse_hex_fingerprint(entry.at("fp").as_string());
-      ensure(fp.has_value(), "bad fingerprint");
-      ensure(!task.empty(), "empty task");
-      Shard& shard = shard_of(task);
-      const MutexLock lock(shard.mutex_);
-      shard.entries_[task] = Entry{*fp, entry.at("payload")};
-    } catch (const std::exception& e) {
+void MeasurementStore::load_file(const std::string& path, int jobs) {
+  std::string text;
+  {
+    std::ifstream is(path, std::ios::binary);
+    ensure(is.good(), "MeasurementStore: cannot read '" + path + "'");
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    text = std::move(buf).str();
+  }
+  // std::getline's split: every '\n' ends a line, and a last line without
+  // one still counts.
+  std::vector<std::string_view> lines;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    lines.push_back(std::string_view(text).substr(pos, end - pos));
+    pos = end + 1;
+  }
+  auto parsed = parallel_map_ordered(
+      lines.size(), [&](std::size_t i) { return parse_line(lines[i]); },
+      jobs);
+  // Merged in file order on this thread: later duplicates of a task win and
+  // rejections are counted and logged exactly as a serial read would.
+  for (std::size_t i = 0; i < parsed.size(); ++i) {
+    ParsedLine& line = parsed[i];
+    if (line.error) {
       // Loud rejection: a corrupt entry must never silently answer a
       // lookup, and the operator must learn the cache is damaged.
       {
@@ -134,8 +186,14 @@ void MeasurementStore::load_file(const std::string& path) {
         ++rejected_;
       }
       log::error("store") << "rejecting corrupt cache entry " << path << ':'
-                          << line_no << " (" << e.what() << ')';
+                          << i + 1 << " (" << *line.error << ')';
+      continue;
     }
+    if (!line.payload) continue;  // blank line
+    Shard& shard = shard_of(line.task);
+    const MutexLock lock(shard.mutex_);
+    shard.insert_locked(std::move(line.task), line.fingerprint,
+                        std::move(line.payload));
   }
 }
 
@@ -149,8 +207,9 @@ MeasurementStore::Shard& MeasurementStore::shard_of(
   return *shards_[fnv1a(task) % shards_.size()];
 }
 
-std::optional<Json> MeasurementStore::lookup(const MeasurementKey& key) {
-  if (mode_ == StoreMode::kOff) return std::nullopt;
+std::shared_ptr<const Json> MeasurementStore::lookup(
+    const MeasurementKey& key) {
+  if (mode_ == StoreMode::kOff) return nullptr;
   // Fingerprint precondition: a default-constructed key (digest 0) means
   // the caller forgot to hash the measurement context. Such a key could
   // never invalidate stale entries, silently breaking warm-restart
@@ -166,12 +225,12 @@ std::optional<Json> MeasurementStore::lookup(const MeasurementKey& key) {
   return shard.lookup_locked(task, key.fingerprint);
 }
 
-std::optional<Json> MeasurementStore::Shard::lookup_locked(
+std::shared_ptr<const Json> MeasurementStore::Shard::lookup_locked(
     const std::string& task, std::uint64_t fingerprint) {
   auto it = entries_.find(task);
   if (it == entries_.end()) {
     ++misses_;
-    return std::nullopt;
+    return nullptr;
   }
   if (it->second.fingerprint != fingerprint) {
     // The context behind this task changed (different benchmark revision,
@@ -180,22 +239,26 @@ std::optional<Json> MeasurementStore::Shard::lookup_locked(
     entries_.erase(it);
     ++invalidated_;
     ++misses_;
-    return std::nullopt;
+    return nullptr;
   }
   ++hits_;
   return it->second.payload;
 }
 
-void MeasurementStore::insert(const MeasurementKey& key, const Json& payload) {
+void MeasurementStore::insert(const MeasurementKey& key, Json payload) {
   if (mode_ != StoreMode::kReadWrite) return;
   ensure(!key.task.empty(), "MeasurementStore::insert: empty task key");
   ECOTUNE_DCHECK(key.fingerprint != 0,
                  "MeasurementStore::insert: key carries no fingerprint");
   const std::string task = scoped(key.task);
+  // Encoded before any lock is taken: serializing the payload is the
+  // expensive part, and concurrent inserts need not queue behind it.
+  const std::string line = encode_line(task, key.fingerprint, payload);
+  auto shared = std::make_shared<const Json>(std::move(payload));
   {
     Shard& shard = shard_of(task);
     const MutexLock lock(shard.mutex_);
-    shard.insert_locked(task, key.fingerprint, payload);
+    shard.insert_locked(task, key.fingerprint, std::move(shared));
   }
   // Shard lock released before the append lock is taken: the two locks are
   // never nested, so the overall order is acyclic by construction. Two
@@ -203,28 +266,22 @@ void MeasurementStore::insert(const MeasurementKey& key, const Json& payload) {
   // but task keys are unique per measurement context and reload is
   // last-wins, so both interleavings replay to the same index.
   const MutexLock lock(append_mutex_);
-  append_line_locked(task, key.fingerprint, payload);
+  append_line_locked(line);
 }
 
-void MeasurementStore::Shard::insert_locked(const std::string& task,
-                                            std::uint64_t fingerprint,
-                                            const Json& payload) {
-  entries_[task] = Entry{fingerprint, payload};
+void MeasurementStore::Shard::insert_locked(
+    std::string task, std::uint64_t fingerprint,
+    std::shared_ptr<const Json> payload) {
+  entries_[std::move(task)] = Entry{fingerprint, std::move(payload)};
 }
 
-void MeasurementStore::append_line_locked(const std::string& task,
-                                          std::uint64_t fingerprint,
-                                          const Json& payload) {
-  Json line = Json::object();
-  line["task"] = task;
-  line["fp"] = Fingerprint::to_hex(fingerprint);
-  line["payload"] = payload;
+void MeasurementStore::append_line_locked(const std::string& line) {
   // One write() call for the whole "entry\n" so appends stay atomic.
-  const std::string text = line.dump(-1) + '\n';
-  appender_.write(text.data(), static_cast<std::streamsize>(text.size()));
+  appender_.write(line.data(), static_cast<std::streamsize>(line.size()));
   appender_.flush();
-  ensure(appender_.good(),
-         "MeasurementStore::insert: write to '" + file_path_ + "' failed");
+  if (!appender_.good())
+    throw PreconditionError("MeasurementStore::insert: write to '" +
+                            file_path_ + "' failed");
   ++writes_;
 }
 

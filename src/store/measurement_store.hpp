@@ -4,7 +4,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -99,6 +98,11 @@ class MeasurementStore {
   /// stats().rejected) and never answer lookups. Later duplicates of a task
   /// win, matching append-only semantics.
   ///
+  /// `jobs` workers parse the file's lines (resolve_jobs semantics: <= 0
+  /// means the hardware concurrency); the parsed lines are then merged on
+  /// the calling thread in file order, so the index, the rejected count and
+  /// the log lines are identical for every value.
+  ///
   /// `scope` namespaces every task key ("scope/task"); drivers pass their
   /// own name so several drivers can share one cache directory without
   /// colliding on identical task ids (which would ping-pong-invalidate each
@@ -108,22 +112,27 @@ class MeasurementStore {
   /// kDefaultShardCount). Purely a concurrency knob: lookup results, stats
   /// totals and the on-disk format are identical for every value.
   void open(const std::string& cache_dir, StoreMode mode,
-            std::string scope = {}, std::size_t shards = 0);
+            std::string scope = {}, std::size_t shards = 0, int jobs = 1);
 
   [[nodiscard]] bool enabled() const { return mode_ != StoreMode::kOff; }
   [[nodiscard]] StoreMode mode() const { return mode_; }
   [[nodiscard]] const std::string& cache_dir() const { return dir_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
-  /// Returns the payload recorded for `key`, or nullopt on miss. A stored
+  /// Returns the payload recorded for `key`, or null on miss. A stored
   /// entry whose fingerprint differs from key.fingerprint is stale (the
-  /// context changed); it is invalidated and the lookup misses.
-  [[nodiscard]] std::optional<Json> lookup(const MeasurementKey& key);
+  /// context changed); it is invalidated and the lookup misses. A hit
+  /// shares the stored payload instead of copying it: every lookup of one
+  /// entry returns the same immutable object, which stays valid (and
+  /// unchanged) after a later insert or invalidation of that task.
+  [[nodiscard]] std::shared_ptr<const Json> lookup(const MeasurementKey& key);
 
-  /// Records `payload` under `key`. No-op in ro/off mode. In rw mode the
-  /// entry is appended to disk immediately (one JSON line, flushed), so a
-  /// killed run still leaves a usable cache.
-  void insert(const MeasurementKey& key, const Json& payload)
+  /// Records `payload` under `key`, taking ownership (callers move it in;
+  /// it is never copied). No-op in ro/off mode. In rw mode the entry is
+  /// appended to disk immediately (one JSON line, flushed), so a killed run
+  /// still leaves a usable cache. The line is encoded before the append
+  /// lock is taken; only the write itself is serialized across threads.
+  void insert(const MeasurementKey& key, Json payload)
       ECOTUNE_EXCLUDES(append_mutex_);
 
   /// Consistent snapshot of the counters, safe to poll concurrently with
@@ -140,7 +149,7 @@ class MeasurementStore {
  private:
   struct Entry {
     std::uint64_t fingerprint = 0;
-    Json payload;
+    std::shared_ptr<const Json> payload;
   };
 
   /// One fingerprint-hashed slice of the index. Shards never share state:
@@ -149,11 +158,12 @@ class MeasurementStore {
   struct Shard {
     /// Lock-held workhorses behind the public lookup/insert; the REQUIRES
     /// contract is what the Clang lane's negative check targets.
-    [[nodiscard]] std::optional<Json> lookup_locked(
+    [[nodiscard]] std::shared_ptr<const Json> lookup_locked(
         const std::string& task, std::uint64_t fingerprint)
         ECOTUNE_REQUIRES(mutex_);
-    void insert_locked(const std::string& task, std::uint64_t fingerprint,
-                       const Json& payload) ECOTUNE_REQUIRES(mutex_);
+    void insert_locked(std::string task, std::uint64_t fingerprint,
+                       std::shared_ptr<const Json> payload)
+        ECOTUNE_REQUIRES(mutex_);
 
     mutable Mutex mutex_;
     std::map<std::string, Entry> entries_ ECOTUNE_GUARDED_BY(mutex_);
@@ -163,9 +173,9 @@ class MeasurementStore {
   };
 
   [[nodiscard]] Shard& shard_of(const std::string& task) const;
-  void load_file(const std::string& path);
-  void append_line_locked(const std::string& task, std::uint64_t fingerprint,
-                          const Json& payload)
+  void load_file(const std::string& path, int jobs);
+  /// Writes one encoded entry line with a single write() and flushes.
+  void append_line_locked(const std::string& line)
       ECOTUNE_REQUIRES(append_mutex_);
   [[nodiscard]] std::string scoped(const std::string& task) const;
 

@@ -209,7 +209,7 @@ TuningOutcome GovernorTuner::tune(const TuningRequest& request) {
     payload["scenarios"] = static_cast<std::int64_t>(out.scenarios_evaluated);
     payload["tuning_time"] = out.tuning_time.value();
     payload["elapsed"] = elapsed.value();
-    cache->insert(cache_key, payload);
+    cache->insert(cache_key, std::move(payload));
   }
   // Return the clone's simulated time to the parent timeline.
   node_.idle(elapsed);

@@ -262,7 +262,7 @@ TuningOutcome QLearningTuner::tune(const TuningRequest& request) {
         Json payload = Json::object();
         payload["m"] = ptf::to_json(m);
         payload["elapsed"] = elapsed.value();
-        cache->insert(cache_key, payload);
+        cache->insert(cache_key, std::move(payload));
       }
     }
     total += elapsed;

@@ -677,11 +677,11 @@ TEST(ServeShardedStore, ShardCountNeverChangesLookupResults) {
     for (int i = 0; i < kEntries; ++i) {
       const auto hit = reader.lookup({"task-" + std::to_string(i),
                                       static_cast<std::uint64_t>(1000 + i)});
-      ASSERT_TRUE(hit.has_value()) << "shards=" << shards << " i=" << i;
+      ASSERT_NE(hit, nullptr) << "shards=" << shards << " i=" << i;
       EXPECT_EQ(hit->dump(-1), payload_for(i).dump(-1));
     }
     const auto miss = reader.lookup({"task-0", 999});  // stale fingerprint
-    EXPECT_FALSE(miss.has_value());
+    EXPECT_EQ(miss, nullptr);
     const store::StoreStats stats = reader.stats();
     EXPECT_EQ(stats.hits, kEntries);
     EXPECT_EQ(stats.misses, 1);
@@ -696,7 +696,7 @@ TEST(ServeShardedStore, DefaultShardCountAndOffModeBehavior) {
   EXPECT_EQ(store.shard_count(), store::MeasurementStore::kDefaultShardCount);
 
   store::MeasurementStore off;  // never opened: lookups miss quietly
-  EXPECT_FALSE(off.lookup({"task", 1}).has_value());
+  EXPECT_EQ(off.lookup({"task", 1}), nullptr);
   EXPECT_EQ(off.stats().hits, 0);
 }
 
@@ -715,7 +715,7 @@ TEST(ServeShardedStore, ConcurrentInsertAndLookupKeepCountersExact) {
         const auto fp = static_cast<std::uint64_t>(t * kPerThread + i);
         store.insert({task, fp}, payload_for(i));
         const auto hit = store.lookup({task, fp});
-        EXPECT_TRUE(hit.has_value());
+        EXPECT_NE(hit, nullptr);
       }
     });
   }
@@ -744,7 +744,7 @@ TEST(ServeShardedStore, ConcurrentInsertAndLookupKeepCountersExact) {
     for (int i = 0; i < kPerThread; ++i) {
       const std::string task = stress_task(t, i);
       const auto fp = static_cast<std::uint64_t>(t * kPerThread + i);
-      ASSERT_TRUE(reloaded.lookup({task, fp}).has_value());
+      ASSERT_NE(reloaded.lookup({task, fp}), nullptr);
     }
   }
   EXPECT_EQ(reloaded.stats().misses, 0);

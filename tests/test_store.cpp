@@ -124,10 +124,10 @@ TEST(MeasurementStore, RoundTripsAndPersistsAcrossSessions) {
 
   {
     store::MeasurementStore s(dir.path(), store::StoreMode::kReadWrite);
-    EXPECT_FALSE(s.lookup(key).has_value());
+    EXPECT_EQ(s.lookup(key), nullptr);
     s.insert(key, payload);
     const auto hit = s.lookup(key);
-    ASSERT_TRUE(hit.has_value());
+    ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->at("value").as_number(), 0.1 + 0.2);  // bit-exact
     EXPECT_EQ(s.stats().hits, 1);
     EXPECT_EQ(s.stats().misses, 1);
@@ -137,7 +137,7 @@ TEST(MeasurementStore, RoundTripsAndPersistsAcrossSessions) {
   store::MeasurementStore warm(dir.path(), store::StoreMode::kReadOnly);
   EXPECT_EQ(warm.size(), 1u);
   const auto hit = warm.lookup(key);
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->at("value").as_number(), 0.1 + 0.2);
 }
 
@@ -146,14 +146,14 @@ TEST(MeasurementStore, FingerprintMismatchInvalidatesTheStaleEntry) {
   store::MeasurementStore s(dir.path(), store::StoreMode::kReadWrite);
   s.insert({"task/a", 1}, Json(1.0));
   // Same task, different context: must not answer, must drop the entry.
-  EXPECT_FALSE(s.lookup({"task/a", 2}).has_value());
+  EXPECT_EQ(s.lookup({"task/a", 2}), nullptr);
   EXPECT_EQ(s.stats().invalidated, 1);
   EXPECT_EQ(s.size(), 0u);
   // Even the original fingerprint now misses (entry is gone)...
-  EXPECT_FALSE(s.lookup({"task/a", 1}).has_value());
+  EXPECT_EQ(s.lookup({"task/a", 1}), nullptr);
   // ...until re-inserted under the new context.
   s.insert({"task/a", 2}, Json(2.0));
-  ASSERT_TRUE(s.lookup({"task/a", 2}).has_value());
+  ASSERT_NE(s.lookup({"task/a", 2}), nullptr);
 }
 
 TEST(MeasurementStore, ReadOnlyModeNeverWrites) {
@@ -166,9 +166,9 @@ TEST(MeasurementStore, ReadOnlyModeNeverWrites) {
   const auto mtime_before = fs::last_write_time(dir.file());
 
   store::MeasurementStore ro(dir.path(), store::StoreMode::kReadOnly);
-  ASSERT_TRUE(ro.lookup({"task/a", 1}).has_value());
+  ASSERT_NE(ro.lookup({"task/a", 1}), nullptr);
   ro.insert({"task/b", 2}, Json(2.0));  // dropped
-  EXPECT_FALSE(ro.lookup({"task/b", 2}).has_value());
+  EXPECT_EQ(ro.lookup({"task/b", 2}), nullptr);
   EXPECT_EQ(ro.stats().writes, 0);
   EXPECT_EQ(fs::file_size(dir.file()), bytes_before);
   EXPECT_EQ(fs::last_write_time(dir.file()), mtime_before);
@@ -178,7 +178,7 @@ TEST(MeasurementStore, ReadOnlyRequiresNothingOnDisk) {
   TempDir dir("ro_empty");
   // ro against a missing directory: valid, everything misses.
   store::MeasurementStore ro(dir.path(), store::StoreMode::kReadOnly);
-  EXPECT_FALSE(ro.lookup({"task/a", 1}).has_value());
+  EXPECT_EQ(ro.lookup({"task/a", 1}), nullptr);
   EXPECT_FALSE(fs::exists(dir.path()));
 }
 
@@ -186,9 +186,9 @@ TEST(MeasurementStore, OffModeIsInert) {
   TempDir dir("off");
   store::MeasurementStore off;
   EXPECT_FALSE(off.enabled());
-  EXPECT_FALSE(off.lookup({"task/a", 1}).has_value());
+  EXPECT_EQ(off.lookup({"task/a", 1}), nullptr);
   off.insert({"task/a", 1}, Json(1.0));
-  EXPECT_FALSE(off.lookup({"task/a", 1}).has_value());
+  EXPECT_EQ(off.lookup({"task/a", 1}), nullptr);
   EXPECT_EQ(off.stats().hits, 0);
   EXPECT_EQ(off.stats().misses, 0);
   EXPECT_FALSE(fs::exists(dir.path()));
@@ -214,8 +214,8 @@ TEST(MeasurementStore, RejectsCorruptEntriesLoudly) {
 
   EXPECT_EQ(warm.stats().rejected, 3);
   EXPECT_EQ(warm.size(), 1u);
-  ASSERT_TRUE(warm.lookup({"task/good", 7}).has_value());
-  EXPECT_FALSE(warm.lookup({"task/nofp", 1}).has_value());
+  ASSERT_NE(warm.lookup({"task/good", 7}), nullptr);
+  EXPECT_EQ(warm.lookup({"task/nofp", 1}), nullptr);
   EXPECT_NE(log_sink.str().find("rejecting corrupt cache entry"),
             std::string::npos);
 }
@@ -251,16 +251,204 @@ TEST(MeasurementStore, ScopesIsolateDriversSharingOneDirectory) {
     // invalidation ping-pong between the two namespaces.
     store::MeasurementStore b;
     b.open(dir.path(), store::StoreMode::kReadWrite, "driver_b");
-    EXPECT_FALSE(b.lookup(key).has_value());
+    EXPECT_EQ(b.lookup(key), nullptr);
     b.insert({key.task, 2}, Json(2.0));
     EXPECT_EQ(b.stats().invalidated, 0);
   }
   store::MeasurementStore a2;
   a2.open(dir.path(), store::StoreMode::kReadOnly, "driver_a");
   const auto hit = a2.lookup(key);
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->as_number(), 1.0);
   EXPECT_EQ(a2.stats().invalidated, 0);
+}
+
+/// The compact dump of the entry document {fp, payload, task}: what a store
+/// line held before lines were encoded without building that document.
+std::string entry_document(const std::string& task, std::uint64_t fp,
+                           const Json& payload) {
+  Json doc = Json::object();
+  doc["fp"] = Fingerprint::to_hex(fp);
+  doc["payload"] = payload;
+  doc["task"] = task;
+  return doc.dump(-1);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+TEST(MeasurementStore, LineBytesEqualTheEntryDocumentDump) {
+  const std::string specials = "q\"b\\s/\x01\x1f\n\t\r\b\f\x7f\xc3\xa9";
+  Json nested = Json::object();
+  nested["a"]["b"] = Json::array();
+  nested["a"]["c"] = Json::object();
+  nested["e"].push_back(Json::object());
+  nested["e"].push_back(Json::array());
+  nested["e"].push_back(Json(specials));
+  Json keyed = Json::object();
+  keyed[specials] = specials;
+  keyed[""] = Json::object();
+  Json scalars = Json::array();
+  for (const Json& v : {Json(nullptr), Json(true), Json(false), Json(0.1 + 0.2),
+                        Json(-1e300), Json(std::string()), Json(7)})
+    scalars.push_back(v);
+
+  struct Case {
+    std::string task;
+    Json payload;
+  };
+  const std::vector<Case> cases = {
+      {"task/plain", Json(1.5)},
+      {"task/\"quoted\"", Json("a\"b")},
+      {"task\\back\\slash", Json("c:\\dir\\")},
+      {"task/" + specials, Json(std::string{'\0', '\x02'})},
+      {"task/empty-object", Json::object()},
+      {"task/empty-array", Json::array()},
+      {"task/nested", nested},
+      {"task/special-keys", keyed},
+      {"task/scalars", scalars},
+  };
+
+  TempDir dir("line_bytes");
+  std::string expected;
+  {
+    store::MeasurementStore rw(dir.path(), store::StoreMode::kReadWrite);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const std::uint64_t fp = 0xfeed0000 + i;
+      rw.insert({cases[i].task, fp}, cases[i].payload);
+      expected += entry_document(cases[i].task, fp, cases[i].payload) + '\n';
+    }
+  }
+  EXPECT_EQ(read_file(dir.file()), expected);
+
+  store::MeasurementStore warm(dir.path(), store::StoreMode::kReadOnly);
+  EXPECT_EQ(warm.stats().rejected, 0);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto hit = warm.lookup({cases[i].task, 0xfeed0000 + i});
+    ASSERT_NE(hit, nullptr) << "case " << i;
+    EXPECT_EQ(*hit, cases[i].payload) << "case " << i;
+  }
+}
+
+TEST(MeasurementStore, LoadIsOrderedAndJobsInvariant) {
+  TempDir dir("load_order");
+  fs::create_directories(dir.path());
+  std::string text;
+  std::vector<long> corrupt_lines;
+  long line_no = 0;
+  const auto add = [&](const std::string& line, bool corrupt,
+                       const char* eol = "\n") {
+    text += line + eol;
+    if (corrupt) corrupt_lines.push_back(line_no + 1);
+    ++line_no;
+  };
+  for (int i = 0; i < 40; ++i) {
+    Json payload = Json::object();
+    payload["i"] = i;
+    payload["v"] = 0.1 * i;
+    add(entry_document("task/" + std::to_string(i), 100 + i, payload), false,
+        i % 3 == 0 ? "\r\n" : "\n");
+    if (i % 7 == 3) add("", false);
+    if (i % 11 == 5) add("\r", false);
+    if (i % 5 == 4) add(R"({"fp":"0000000000000001","payload":)", true);
+  }
+  add(entry_document("task/dup", 7, Json("first")), false);
+  add("not json", true);
+  add(R"({"task":"task/nofp","payload":1})", true);
+  add(R"({"task":"task/badfp","fp":"zz","payload":1})", true);
+  add(R"({"task":"","fp":"0000000000000001","payload":1})", true);
+  add(R"({"task":"task/nopayload","fp":"0000000000000001"})", true);
+  add(R"({"task":5,"fp":"0000000000000001","payload":1})", true);
+  add(entry_document("task/dup", 8, Json("second")), false, "\r\n");
+  add(entry_document("task/tail", 9, Json(9.0)), false, "");
+  {
+    std::ofstream os(dir.file(), std::ios::binary);
+    os << text;
+  }
+
+  struct Loaded {
+    std::size_t size = 0;
+    long rejected = 0;
+    std::vector<std::string> answers;
+    std::string log;
+  };
+  const auto load = [&](int jobs) {
+    std::ostringstream sink;
+    log::set_sink(&sink);
+    store::MeasurementStore s;
+    s.open(dir.path(), store::StoreMode::kReadOnly, {}, 0, jobs);
+    log::set_sink(nullptr);
+    Loaded out;
+    out.size = s.size();
+    out.rejected = s.stats().rejected;
+    out.log = sink.str();
+    const auto answer = [&](const std::string& task, std::uint64_t fp) {
+      const auto hit = s.lookup({task, fp});
+      out.answers.push_back(hit ? hit->dump(-1) : "miss");
+    };
+    for (int i = 0; i < 40; ++i) answer("task/" + std::to_string(i), 100 + i);
+    answer("task/dup", 8);
+    answer("task/tail", 9);
+    return out;
+  };
+
+  const Loaded serial = load(1);
+  EXPECT_EQ(serial.size, 42u);
+  EXPECT_EQ(serial.rejected, static_cast<long>(corrupt_lines.size()));
+  EXPECT_EQ(serial.answers[40], "\"second\"");  // the later duplicate wins
+  EXPECT_EQ(serial.answers[41], "9");
+  for (int i = 0; i < 40; ++i)
+    EXPECT_NE(serial.answers[static_cast<std::size_t>(i)], "miss") << i;
+  // One log line per corrupt line, in file order, naming its line number.
+  std::istringstream log_lines(serial.log);
+  std::string log_line;
+  std::size_t logged = 0;
+  while (std::getline(log_lines, log_line)) {
+    ASSERT_LT(logged, corrupt_lines.size()) << log_line;
+    EXPECT_NE(log_line.find(dir.file() + ":" +
+                            std::to_string(corrupt_lines[logged]) + " ("),
+              std::string::npos)
+        << log_line;
+    ++logged;
+  }
+  EXPECT_EQ(logged, corrupt_lines.size());
+
+  for (const int jobs : {2, 4}) {
+    const Loaded parallel = load(jobs);
+    EXPECT_EQ(parallel.size, serial.size) << "jobs=" << jobs;
+    EXPECT_EQ(parallel.rejected, serial.rejected) << "jobs=" << jobs;
+    EXPECT_EQ(parallel.answers, serial.answers) << "jobs=" << jobs;
+    EXPECT_EQ(parallel.log, serial.log) << "jobs=" << jobs;
+  }
+}
+
+TEST(MeasurementStore, HitsShareOnePayloadThatLaterInsertsNeverChange) {
+  TempDir dir("shared_payload");
+  store::MeasurementStore s(dir.path(), store::StoreMode::kReadWrite);
+  Json first = Json::object();
+  first["v"] = 1.0;
+  Json second = Json::object();
+  second["v"] = 2.0;
+
+  s.insert({"task/a", 1}, first);
+  const auto a = s.lookup({"task/a", 1});
+  const auto b = s.lookup({"task/a", 1});
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a.get(), b.get());  // one stored object, no copy per hit
+
+  s.insert({"task/a", 1}, second);
+  EXPECT_EQ(*a, first);  // a held payload never changes under the caller
+  const auto c = s.lookup({"task/a", 1});
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(*c, second);
+
+  // Invalidation drops the entry, not the payload a caller still holds.
+  EXPECT_EQ(s.lookup({"task/a", 2}), nullptr);
+  EXPECT_EQ(*c, second);
 }
 
 // --- Cold vs warm equivalence, consumer by consumer -----------------------

@@ -371,7 +371,7 @@ const std::string& store_bench_dir(const Options& o) {
     for (std::size_t i = 0; i < keys.size(); ++i) {
       Json payload = Json::object();
       payload["value"] = static_cast<double>(i) * 0.5;
-      writer.insert(keys[i], payload);
+      writer.insert(keys[i], std::move(payload));
     }
     dir = path.string();
   }
@@ -396,7 +396,7 @@ double bench_store_lookup(const Options& o, std::size_t shards,
     std::size_t alive = 0;
     for (std::size_t r = 0; r < rounds; ++r)
       for (std::size_t i = 0; i < n; ++i)
-        if (store.lookup(keys[(offset + i) % n]).has_value()) ++alive;
+        if (store.lookup(keys[(offset + i) % n]) != nullptr) ++alive;
     if (alive != rounds * n) {
       std::cerr << "error: store lookup missed on the hit path\n";
       std::exit(1);
