@@ -9,6 +9,7 @@
 #include "common/parallel.hpp"
 #include "instr/scorep_runtime.hpp"
 #include "store/measurement_store.hpp"
+#include "store/serdes.hpp"
 
 namespace ecotune::baseline {
 namespace {
@@ -63,90 +64,110 @@ ExhaustiveTuningResult ExhaustiveTuner::tune(
   // configuration runs on a node clone with jitter keyed by (tune() call,
   // config index) so the sweep parallelizes deterministically and repeated
   // tune() calls draw fresh noise.
-  const long call_tag = tune_calls_++;
+  const std::string call_key =
+      "exhaustive-tuner-" + std::to_string(tune_calls_++);
   struct RunOutcome {
     ptf::Measurement app;
     std::map<std::string, ptf::Measurement> regions;
     Seconds wall_time{0};
     Seconds elapsed{0};
   };
+  std::vector<RunOutcome> outcomes;
+
+  // One store entry per sweep (see StaticTuner::tune): the fingerprint pins
+  // node state, app, call and every lattice point; each payload field is a
+  // column with one value per point in sweep order.
   store::MeasurementStore* cache =
       options_.store != nullptr && options_.store->enabled() ? options_.store
                                                              : nullptr;
-  Fingerprint base_fp;
+  store::MeasurementKey cache_key;
   if (cache != nullptr) {
-    base_fp.add_digest("node", node_.state_fingerprint())
-        .add_digest("app", app.fingerprint_digest());
+    Fingerprint fp;
+    fp.add_digest("node", node_.state_fingerprint())
+        .add_digest("app", app.fingerprint_digest())
+        .add("call", call_key);
+    for (const SystemConfig& c : configs) fp.add("config", c);
+    cache_key.task =
+        "exhaustive/" + app.name() +
+        (options_.key_scope.empty() ? "" : "/" + options_.key_scope) + "/" +
+        call_key;
+    cache_key.fingerprint = fp.digest();
+    if (const auto hit = cache->lookup(cache_key)) {
+      try {
+        const auto n = configs.size();
+        const auto& apps = store::sweep_column(*hit, "app", n);
+        const auto& regions = store::sweep_column(*hit, "regions", n);
+        const auto& wall_time = store::sweep_column(*hit, "wall_time", n);
+        const auto& elapsed = store::sweep_column(*hit, "elapsed", n);
+        outcomes.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          RunOutcome& out = outcomes[i];
+          out.app = ptf::measurement_from_json(apps[i]);
+          for (const auto& [region, m] : regions[i].as_object())
+            out.regions[region] = ptf::measurement_from_json(m);
+          // Every fully instrumented run measures all of the app's
+          // regions; fewer means the payload is from another schema.
+          ensure(out.regions.size() == app.regions().size(),
+                 "payload covers a different region set");
+          out.wall_time = Seconds(wall_time[i].as_number());
+          out.elapsed = Seconds(elapsed[i].as_number());
+        }
+      } catch (const std::exception& e) {
+        log::error("store")
+            << "undecodable cache payload for '" << cache_key.task << "' ("
+            << e.what() << "); re-simulating";
+        outcomes.clear();
+      }
+    }
   }
-  const auto outcomes = parallel_map_ordered(
-      configs.size(),
-      [&](std::size_t i) {
-        const std::string noise_key = "exhaustive-tuner-" +
-                                      std::to_string(call_tag) + "-" +
-                                      std::to_string(i);
-        store::MeasurementKey cache_key;
-        if (cache != nullptr) {
-          Fingerprint fp = base_fp;
-          fp.add("noise_key", noise_key).add("config", configs[i]);
-          cache_key.task =
-              "exhaustive/" + app.name() +
-              (options_.key_scope.empty() ? "" : "/" + options_.key_scope) +
-              "/" + noise_key;
-          cache_key.fingerprint = fp.digest();
-          if (const auto hit = cache->lookup(cache_key)) {
-            try {
-              RunOutcome out;
-              out.app = ptf::measurement_from_json(hit->at("app"));
-              for (const auto& [region, m] : hit->at("regions").as_object())
-                out.regions[region] = ptf::measurement_from_json(m);
-              // Every fully instrumented run measures all of the app's
-              // regions; fewer means the payload is from another schema.
-              ensure(out.regions.size() == app.regions().size(),
-                     "payload covers a different region set");
-              out.wall_time = Seconds(hit->at("wall_time").as_number());
-              out.elapsed = Seconds(hit->at("elapsed").as_number());
-              return out;
-            } catch (const std::exception& e) {
-              log::error("store")
-                  << "undecodable cache payload for '" << cache_key.task
-                  << "' (" << e.what() << "); re-simulating";
-            }
-          }
-        }
 
-        hwsim::NodeSimulator node = node_.clone(noise_key);
-        const Seconds t0 = node.now();
-        instr::ExecutionContext ctx(node);
-        ctx.apply(configs[i]);
-        RegionCollector collector;
-        instr::ScorepRuntime runtime(
-            app, instr::InstrumentationFilter::instrument_all());
-        runtime.add_listener(&collector);
-        const auto run = runtime.execute(ctx);
+  if (outcomes.empty()) {
+    outcomes = parallel_map_ordered(
+        configs.size(),
+        [&](std::size_t i) {
+          hwsim::NodeSimulator node =
+              node_.clone(call_key + "-" + std::to_string(i));
+          const Seconds t0 = node.now();
+          instr::ExecutionContext ctx(node);
+          ctx.apply(configs[i]);
+          RegionCollector collector;
+          instr::ScorepRuntime runtime(
+              app, instr::InstrumentationFilter::instrument_all());
+          runtime.add_listener(&collector);
+          const auto run = runtime.execute(ctx);
 
-        RunOutcome out;
-        out.app.node_energy = run.node_energy;
-        out.app.cpu_energy = run.cpu_energy;
-        out.app.time = run.wall_time;
-        out.app.count = 1;
-        out.regions = collector.measurements();
-        out.wall_time = run.wall_time;
-        out.elapsed = node.now() - t0;
-
-        if (cache != nullptr) {
-          Json payload = Json::object();
-          payload["app"] = ptf::to_json(out.app);
-          Json regions = Json::object();
-          for (const auto& [region, m] : out.regions)
-            regions[region] = ptf::to_json(m);
-          payload["regions"] = std::move(regions);
-          payload["wall_time"] = out.wall_time.value();
-          payload["elapsed"] = out.elapsed.value();
-          cache->insert(cache_key, std::move(payload));
-        }
-        return out;
-      },
-      options_.jobs);
+          RunOutcome out;
+          out.app.node_energy = run.node_energy;
+          out.app.cpu_energy = run.cpu_energy;
+          out.app.time = run.wall_time;
+          out.app.count = 1;
+          out.regions = collector.measurements();
+          out.wall_time = run.wall_time;
+          out.elapsed = node.now() - t0;
+          return out;
+        },
+        options_.jobs);
+    if (cache != nullptr) {
+      Json::Array apps, regions, wall_time, elapsed;
+      for (auto* column : {&apps, &regions, &wall_time, &elapsed})
+        column->reserve(outcomes.size());
+      for (const RunOutcome& out : outcomes) {
+        apps.push_back(ptf::to_json(out.app));
+        Json run_regions = Json::object();
+        for (const auto& [region, m] : out.regions)
+          run_regions[region] = ptf::to_json(m);
+        regions.push_back(std::move(run_regions));
+        wall_time.emplace_back(out.wall_time.value());
+        elapsed.emplace_back(out.elapsed.value());
+      }
+      Json payload = Json::object();
+      payload["app"] = std::move(apps);
+      payload["regions"] = std::move(regions);
+      payload["wall_time"] = std::move(wall_time);
+      payload["elapsed"] = std::move(elapsed);
+      cache->insert(cache_key, std::move(payload));
+    }
+  }
 
   // Ordered reduce in sweep order (first strict improvement wins).
   ExhaustiveTuningResult result;

@@ -25,12 +25,14 @@ struct ExhaustiveTunerOptions {
   /// (1 = serial, 0 = hardware concurrency); output is identical for any
   /// value.
   int jobs = 1;
-  /// Optional persistent measurement store (not owned): answers individual
-  /// configuration runs from a previous session when benchmark, config, and
-  /// node-state fingerprint match. Jobs-invariant by construction.
+  /// Optional persistent measurement store (not owned). Each tune() call is
+  /// one entry holding every full-application run of the sweep, answered
+  /// from a previous session when benchmark, call, lattice, and node-state
+  /// fingerprint match. Jobs-invariant by construction.
   store::MeasurementStore* store = nullptr;
-  /// Optional store task-key namespace ("exhaustive/<app>/<key_scope>/...");
-  /// see StaticTunerOptions::key_scope.
+  /// Optional store task-key namespace
+  /// ("exhaustive/<app>/<key_scope>/exhaustive-tuner-<call>"); see
+  /// StaticTunerOptions::key_scope.
   std::string key_scope;
 };
 
@@ -50,7 +52,8 @@ struct ExhaustiveTuningResult {
 /// region is manually instrumented and the full (threads x CF x UCF) space
 /// is searched with whole-application runs -- no significant-region
 /// filtering, no model-based search-space reduction. Used for the
-/// tuning-time comparison of paper Sec. V-C.
+/// tuning-time comparison of paper Sec. V-C. With a store, a tune() call is
+/// one entry: every run's app and per-region measurements, in sweep order.
 class ExhaustiveTuner final : public Tuner {
  public:
   ExhaustiveTuner(hwsim::NodeSimulator& node,

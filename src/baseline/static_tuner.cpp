@@ -9,6 +9,7 @@
 #include "common/parallel.hpp"
 #include "instr/scorep_runtime.hpp"
 #include "store/measurement_store.hpp"
+#include "store/serdes.hpp"
 
 namespace ecotune::baseline {
 
@@ -39,75 +40,92 @@ StaticTuningResult StaticTuner::tune(const workload::Benchmark& app,
   // Evaluate every configuration on its own node clone with jitter keyed
   // by (tune() call, config index), so the sweep parallelizes without
   // changing any result and repeated tune() calls draw fresh noise.
-  const long call_tag = tune_calls_++;
+  const std::string call_key = "static-tuner-" + std::to_string(tune_calls_++);
   struct Evaluated {
     StaticPoint point;
     Seconds elapsed{0};
   };
+  std::vector<Evaluated> evaluated;
+
+  // The whole sweep is one store entry: its fingerprint pins node state,
+  // app, call and every lattice point, and the payload holds one column
+  // per field with a value per point in sweep order.
   store::MeasurementStore* cache =
       options_.store != nullptr && options_.store->enabled() ? options_.store
                                                              : nullptr;
-  Fingerprint base_fp;
+  store::MeasurementKey cache_key;
   if (cache != nullptr) {
-    base_fp.add_digest("node", node_.state_fingerprint())
-        .add_digest("app", short_app.fingerprint_digest());
+    Fingerprint fp;
+    fp.add_digest("node", node_.state_fingerprint())
+        .add_digest("app", short_app.fingerprint_digest())
+        .add("call", call_key);
+    for (const SystemConfig& c : configs) fp.add("config", c);
+    cache_key.task =
+        "static/" + app.name() +
+        (options_.key_scope.empty() ? "" : "/" + options_.key_scope) + "/" +
+        call_key;
+    cache_key.fingerprint = fp.digest();
+    if (const auto hit = cache->lookup(cache_key)) {
+      try {
+        const auto n = configs.size();
+        const auto& node_energy = store::sweep_column(*hit, "node_energy", n);
+        const auto& cpu_energy = store::sweep_column(*hit, "cpu_energy", n);
+        const auto& time = store::sweep_column(*hit, "time", n);
+        const auto& elapsed = store::sweep_column(*hit, "elapsed", n);
+        evaluated.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          Evaluated& e = evaluated[i];
+          e.point.config = configs[i];
+          e.point.node_energy = Joules(node_energy[i].as_number());
+          e.point.cpu_energy = Joules(cpu_energy[i].as_number());
+          e.point.time = Seconds(time[i].as_number());
+          e.elapsed = Seconds(elapsed[i].as_number());
+        }
+      } catch (const std::exception& ex) {
+        log::error("store")
+            << "undecodable cache payload for '" << cache_key.task << "' ("
+            << ex.what() << "); re-simulating";
+        evaluated.clear();
+      }
+    }
   }
-  const auto evaluated = parallel_map_ordered(
-      configs.size(),
-      [&](std::size_t i) {
-        const std::string noise_key = "static-tuner-" +
-                                      std::to_string(call_tag) + "-" +
-                                      std::to_string(i);
-        Evaluated e;
-        e.point.config = configs[i];
 
-        store::MeasurementKey cache_key;
-        if (cache != nullptr) {
-          Fingerprint fp = base_fp;
-          fp.add("noise_key", noise_key).add("config", configs[i]);
-          cache_key.task =
-              "static/" + app.name() +
-              (options_.key_scope.empty() ? "" : "/" + options_.key_scope) +
-              "/" + noise_key;
-          cache_key.fingerprint = fp.digest();
-          if (const auto hit = cache->lookup(cache_key)) {
-            try {
-              Evaluated cached = e;
-              cached.point.node_energy =
-                  Joules(hit->at("node_energy").as_number());
-              cached.point.cpu_energy =
-                  Joules(hit->at("cpu_energy").as_number());
-              cached.point.time = Seconds(hit->at("time").as_number());
-              cached.elapsed = Seconds(hit->at("elapsed").as_number());
-              return cached;
-            } catch (const std::exception& ex) {
-              log::error("store")
-                  << "undecodable cache payload for '" << cache_key.task
-                  << "' (" << ex.what() << "); re-simulating";
-            }
-          }
-        }
-
-        hwsim::NodeSimulator node = node_.clone(noise_key);
-        const Seconds t0 = node.now();
-        const auto run =
-            instr::run_uninstrumented(short_app, node, e.point.config);
-        e.point.node_energy = run.node_energy;
-        e.point.cpu_energy = run.cpu_energy;
-        e.point.time = run.wall_time;
-        e.elapsed = node.now() - t0;
-
-        if (cache != nullptr) {
-          Json payload = Json::object();
-          payload["node_energy"] = e.point.node_energy.value();
-          payload["cpu_energy"] = e.point.cpu_energy.value();
-          payload["time"] = e.point.time.value();
-          payload["elapsed"] = e.elapsed.value();
-          cache->insert(cache_key, std::move(payload));
-        }
-        return e;
-      },
-      options_.jobs);
+  if (evaluated.empty()) {
+    evaluated = parallel_map_ordered(
+        configs.size(),
+        [&](std::size_t i) {
+          const std::string noise_key = call_key + "-" + std::to_string(i);
+          Evaluated e;
+          e.point.config = configs[i];
+          hwsim::NodeSimulator node = node_.clone(noise_key);
+          const Seconds t0 = node.now();
+          const auto run =
+              instr::run_uninstrumented(short_app, node, e.point.config);
+          e.point.node_energy = run.node_energy;
+          e.point.cpu_energy = run.cpu_energy;
+          e.point.time = run.wall_time;
+          e.elapsed = node.now() - t0;
+          return e;
+        },
+        options_.jobs);
+    if (cache != nullptr) {
+      Json::Array node_energy, cpu_energy, time, elapsed;
+      for (auto* column : {&node_energy, &cpu_energy, &time, &elapsed})
+        column->reserve(evaluated.size());
+      for (const Evaluated& e : evaluated) {
+        node_energy.emplace_back(e.point.node_energy.value());
+        cpu_energy.emplace_back(e.point.cpu_energy.value());
+        time.emplace_back(e.point.time.value());
+        elapsed.emplace_back(e.elapsed.value());
+      }
+      Json payload = Json::object();
+      payload["node_energy"] = std::move(node_energy);
+      payload["cpu_energy"] = std::move(cpu_energy);
+      payload["time"] = std::move(time);
+      payload["elapsed"] = std::move(elapsed);
+      cache->insert(cache_key, std::move(payload));
+    }
+  }
 
   // Ordered reduce in sweep order: first strict improvement wins, exactly
   // as the serial loop selected.

@@ -27,14 +27,16 @@ struct StaticTunerOptions {
   /// value: per-config jitter streams are keyed by sweep index and the
   /// winner is reduced in sweep order.
   int jobs = 1;
-  /// Optional persistent measurement store (not owned): answers individual
-  /// configuration evaluations from a previous session when benchmark,
-  /// config, and node-state fingerprint match. Jobs-invariant.
+  /// Optional persistent measurement store (not owned). Each tune() call is
+  /// one entry holding every evaluated point, answered from a previous
+  /// session when benchmark, call, lattice, and node-state fingerprint
+  /// match. Jobs-invariant.
   store::MeasurementStore* store = nullptr;
-  /// Optional store task-key namespace ("static/<app>/<key_scope>/...").
-  /// Concurrent searches over the same benchmark (service requests, rows of
-  /// one evaluation) must carry distinct scopes or their per-config entries
-  /// collide on identical task ids and ping-pong-invalidate each other.
+  /// Optional store task-key namespace
+  /// ("static/<app>/<key_scope>/static-tuner-<call>"). Concurrent searches
+  /// over the same benchmark (service requests, rows of one evaluation)
+  /// must carry distinct scopes or their sweep entries collide on
+  /// identical task ids and ping-pong-invalidate each other.
   std::string key_scope;
 };
 
@@ -58,7 +60,9 @@ struct StaticTuningResult {
 /// The static-tuning baseline of paper Sec. V-D / Table V: run the whole
 /// (uninstrumented) application at every (threads, CF, UCF) combination and
 /// keep the configuration minimizing the objective. The best static
-/// configuration equals the best phase-region configuration.
+/// configuration equals the best phase-region configuration. With a store,
+/// a tune() call costs one lookup and, on a miss, one insert: the sweep's
+/// points are stored together as one entry, in sweep order.
 class StaticTuner final : public Tuner {
  public:
   StaticTuner(hwsim::NodeSimulator& node, StaticTunerOptions options = {});

@@ -95,6 +95,14 @@ RpcRequest RpcRequest::from_frame(const Json& frame) {
   return req;
 }
 
+std::string frame_method(const Json& frame) {
+  if (frame.is_object() && frame.contains("method") &&
+      frame.at("method").is_string()) {
+    return frame.at("method").as_string();
+  }
+  return {};
+}
+
 Json ok_response(const Json& id, Json result) {
   Json j = Json::object();
   j["schema"] = std::string(kRpcSchema);

@@ -75,6 +75,10 @@ struct RpcRequest {
   [[nodiscard]] static RpcRequest from_frame(const Json& frame);
 };
 
+/// The method a decoded frame names, or "" when it names none. Stats
+/// accounting peeks with this before (or without) full validation.
+[[nodiscard]] std::string frame_method(const Json& frame);
+
 /// {"schema": "ecotune.rpc.v1", "id": <id>, "ok": true, "result": <result>}
 [[nodiscard]] Json ok_response(const Json& id, Json result);
 

@@ -268,7 +268,7 @@ bool Server::service_readable(const std::shared_ptr<Connection>& conn) {
 
 void Server::submit_frame(const std::shared_ptr<Connection>& conn,
                           Json frame) {
-  // Queue admission only peeks at id/tenant/timeout_ms; full request
+  // Queue admission only peeks at id/tenant/method/timeout_ms; full request
   // validation (and its error responses) happens in handle() on a worker.
   Json id;
   std::string tenant = "default";
@@ -284,6 +284,7 @@ void Server::submit_frame(const std::shared_ptr<Connection>& conn,
       timeout_ms = frame.at("timeout_ms").as_number();
     }
   }
+  const std::string method = frame_method(frame);
   Job job;
   job.conn = conn;
   job.frame = std::move(frame);
@@ -294,7 +295,7 @@ void Server::submit_frame(const std::shared_ptr<Connection>& conn,
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double, std::milli>(timeout_ms));
   if (!enqueue(std::move(job))) {
-    service_.stats().record(tenant, false, 0.0);
+    service_.stats().record(tenant, method, false, 0.0);
     write_frame(*conn,
                 error_response(
                     id, "overloaded",
@@ -334,7 +335,8 @@ void Server::worker_loop() {
       response = error_response(job.id, "timeout",
                                 "request expired while queued (deadline "
                                 "passed before a worker picked it up)");
-      service_.stats().record(job.tenant, false, 0.0);
+      service_.stats().record(job.tenant, frame_method(job.frame), false,
+                              0.0);
     } else {
       response = service_.handle(job.frame);
     }

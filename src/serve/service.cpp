@@ -19,10 +19,12 @@ struct UnknownMethodError : Error {
   using Error::Error;
 };
 
-/// The method vocabulary, sorted (stable "methods" listing).
+/// The method vocabulary, sorted except that the debug-only "sleep" comes
+/// last (stable "methods" listing).
 Json method_list(bool debug) {
-  Json::Array names{"dta", "evaluate", "methods", "ping", "predict", "stats",
-                    "tune"};
+  Json::Array names;
+  for (std::string_view name : kMethodNames)
+    if (name != "sleep") names.emplace_back(std::string(name));
   if (debug) names.emplace_back("sleep");
   return Json(std::move(names));
 }
@@ -83,6 +85,7 @@ std::string TuningService::request_key(const RpcRequest& req) {
 Json TuningService::handle(const Json& frame) {
   const auto t0 = std::chrono::steady_clock::now();
   std::string tenant = "default";
+  const std::string method = frame_method(frame);
   Json response;
   try {
     const RpcRequest req = RpcRequest::from_frame(frame);
@@ -109,7 +112,7 @@ Json TuningService::handle(const Json& frame) {
   }
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - t0;
-  stats_.record(tenant, response.at("ok").as_bool(), elapsed.count());
+  stats_.record(tenant, method, response.at("ok").as_bool(), elapsed.count());
   return response;
 }
 

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 
 namespace ecotune::serve {
 namespace {
+
+/// The "methods" key that pools every name outside kMethodNames.
+constexpr std::string_view kOtherMethod = "other";
 
 /// Nearest-rank quantile over a sorted sample vector.
 double quantile_ms(const std::vector<double>& sorted_seconds, double q) {
@@ -24,8 +28,24 @@ Json bucket_json(long requests, long ok, long errors) {
 
 }  // namespace
 
-void ServiceStats::record(const std::string& tenant, bool ok,
-                          double service_seconds) {
+ServiceStats::ServiceStats(std::size_t max_samples)
+    : max_samples_(max_samples == 0 ? 1 : max_samples) {
+  const MutexLock lock(mutex_);
+  for (std::string_view name : kMethodNames) methods_[std::string(name)];
+  methods_[std::string(kOtherMethod)];
+}
+
+void ServiceStats::add_sample(Series& series, double seconds) const {
+  if (series.samples.size() < max_samples_) {
+    series.samples.push_back(seconds);
+  } else {
+    series.samples[series.cursor] = seconds;
+  }
+  series.cursor = (series.cursor + 1) % max_samples_;
+}
+
+void ServiceStats::record(const std::string& tenant, std::string_view method,
+                          bool ok, double service_seconds) {
   const MutexLock lock(mutex_);
   auto bump = [ok](Bucket& b) {
     ++b.requests;
@@ -35,35 +55,49 @@ void ServiceStats::record(const std::string& tenant, bool ok,
       ++b.errors;
     }
   };
-  bump(aggregate_);
-  bump(tenants_[tenant]);
-  if (samples_.size() < max_samples_) {
-    samples_.push_back(service_seconds);
-  } else {
-    samples_[sample_cursor_] = service_seconds;
+  auto it = methods_.find(method);
+  if (it == methods_.end()) it = methods_.find(kOtherMethod);
+  for (Series* series : {&aggregate_, &it->second}) {
+    bump(series->counts);
+    add_sample(*series, service_seconds);
   }
-  sample_cursor_ = (sample_cursor_ + 1) % max_samples_;
+  bump(tenants_[tenant]);
 }
 
 Json ServiceStats::snapshot(long queue_depth) const {
   Json j = Json::object();
-  std::vector<double> sorted;
+  // Copy under the lock, sort outside it: workers record while we sort.
+  Series aggregate;
+  std::vector<std::pair<std::string, Series>> methods;
   {
     const MutexLock lock(mutex_);
-    j["aggregate"] =
-        bucket_json(aggregate_.requests, aggregate_.ok, aggregate_.errors);
+    aggregate = aggregate_;
+    methods.assign(methods_.begin(), methods_.end());
     Json tenants = Json::object();
     for (const auto& [name, b] : tenants_)
       tenants[name] = bucket_json(b.requests, b.ok, b.errors);
     j["tenants"] = std::move(tenants);
-    sorted = samples_;
   }
-  std::sort(sorted.begin(), sorted.end());
+  // p50/p99 of one sample ring, sorted in place.
+  const auto add_quantiles = [](Json& into, std::vector<double>& samples) {
+    std::sort(samples.begin(), samples.end());
+    into["p50_ms"] = quantile_ms(samples, 0.50);
+    into["p99_ms"] = quantile_ms(samples, 0.99);
+  };
+  Json by_method = Json::object();
+  for (auto& [name, series] : methods) {
+    const Bucket& b = series.counts;
+    Json m = bucket_json(b.requests, b.ok, b.errors);
+    add_quantiles(m, series.samples);
+    by_method[name] = std::move(m);
+  }
+  const Bucket& a = aggregate.counts;
+  j["aggregate"] = bucket_json(a.requests, a.ok, a.errors);
   Json timing = Json::object();
-  timing["p50_ms"] = quantile_ms(sorted, 0.50);
-  timing["p99_ms"] = quantile_ms(sorted, 0.99);
-  timing["samples"] = sorted.size();
+  add_quantiles(timing, aggregate.samples);
+  timing["samples"] = aggregate.samples.size();
   j["aggregate"]["service_time"] = std::move(timing);
+  j["methods"] = std::move(by_method);
   j["queue_depth"] = static_cast<std::int64_t>(queue_depth);
   return j;
 }

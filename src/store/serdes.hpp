@@ -16,4 +16,12 @@ namespace ecotune::store {
 [[nodiscard]] Json to_json(const SystemConfig& c);
 [[nodiscard]] SystemConfig config_from_json(const Json& j);
 
+/// One field of a sweep payload, stored as a column: payload[field] holds
+/// one value per sweep point, in sweep order. Throws Error unless that
+/// column is an array of exactly `points` values, so a truncated sweep or a
+/// payload of another schema re-simulates instead of answering.
+[[nodiscard]] const Json::Array& sweep_column(const Json& payload,
+                                              const char* field,
+                                              std::size_t points);
+
 }  // namespace ecotune::store

@@ -12,6 +12,7 @@
 #include "common/logging.hpp"
 #include "instr/scorep_runtime.hpp"
 #include "store/measurement_store.hpp"
+#include "store/serdes.hpp"
 
 namespace ecotune::tuners {
 namespace {
@@ -162,16 +163,23 @@ TuningOutcome QLearningTuner::tune(const TuningRequest& request) {
   // by (seed, call, episode) alone.
   const Rng call_rng = Rng(options_.seed).fork(call_key);
 
+  TuningOutcome out;
+  out.tuner = std::string(name());
+  out.objective = std::string(objective->name());
+  out.scenarios_evaluated = options_.episodes;
+  out.app_runs = options_.episodes;
+
+  // One store entry per tune() call, as GovernorTuner keeps: the whole
+  // episode schedule is part of its identity (node state, app, objective,
+  // call and every hyperparameter that shapes the trajectory), so a warm
+  // run with identical options replays the call's outcome from one hit.
   store::MeasurementStore* cache =
       options_.store != nullptr && options_.store->enabled() ? options_.store
                                                              : nullptr;
-  Fingerprint base_fp;
+  store::MeasurementKey cache_key;
   if (cache != nullptr) {
-    // The full episode schedule is part of each entry's identity: node
-    // state, app, objective, and every hyperparameter that shapes the
-    // trajectory. A warm run with identical options replays the identical
-    // walk, so each episode's lookup hits.
-    base_fp.add_digest("node", node_.state_fingerprint())
+    Fingerprint fp;
+    fp.add_digest("node", node_.state_fingerprint())
         .add_digest("app", short_app.fingerprint_digest())
         .add("objective", objective->name())
         .add("episodes", options_.episodes)
@@ -183,15 +191,32 @@ TuningOutcome QLearningTuner::tune(const TuningRequest& request) {
         .add("phase_iterations", options_.phase_iterations)
         .add("cf_step", options_.cf_step)
         .add("ucf_step", options_.ucf_step)
-        .add("seed", options_.seed);
-    for (int t : options_.thread_counts) base_fp.add("thread_count", t);
+        .add("seed", options_.seed)
+        .add("call", call_key);
+    for (int t : options_.thread_counts) fp.add("thread_count", t);
+    cache_key.task =
+        "qlearn/" + request.app.name() +
+        (options_.key_scope.empty() ? "" : "/" + options_.key_scope) + "/" +
+        call_key;
+    cache_key.fingerprint = fp.digest();
+    if (const auto hit = cache->lookup(cache_key)) {
+      try {
+        TuningOutcome cached = out;
+        cached.best = store::config_from_json(hit->at("best"));
+        cached.best_measurement = ptf::measurement_from_json(hit->at("m"));
+        cached.tuning_time = Seconds(hit->at("tuning_time").as_number());
+        node_.idle(cached.tuning_time);
+        return cached;
+      } catch (const std::exception& ex) {
+        log::error("store")
+            << "undecodable cache payload for '" << cache_key.task << "' ("
+            << ex.what() << "); re-simulating";
+      }
+    }
   }
 
   std::map<State, QRow> q;
   State state = start;
-  TuningOutcome out;
-  out.tuner = std::string(name());
-  out.objective = std::string(objective->name());
   double best_score = std::numeric_limits<double>::max();
   double ref_score = 0.0;
   bool have_ref = false;
@@ -222,49 +247,17 @@ TuningOutcome QLearningTuner::tune(const TuningRequest& request) {
 
     // Measure the episode's configuration on a clone whose noise stream is
     // keyed by (call, episode) -- the same task-identity convention the
-    // sweep tuners use, so caching and determinism work identically.
-    const std::string noise_key = call_key + "-ep-" + std::to_string(ep);
+    // sweep tuners use, so results are independent of everything else.
+    hwsim::NodeSimulator node =
+        node_.clone(call_key + "-ep-" + std::to_string(ep));
+    const Seconds t0 = node.now();
+    const auto run = instr::run_uninstrumented(short_app, node, config);
     ptf::Measurement m;
-    Seconds elapsed{0};
-    store::MeasurementKey cache_key;
-    bool measured = false;
-    if (cache != nullptr) {
-      Fingerprint fp = base_fp;
-      fp.add("noise_key", noise_key).add("episode", ep).add("config", config);
-      cache_key.task =
-          "qlearn/" + request.app.name() +
-          (options_.key_scope.empty() ? "" : "/" + options_.key_scope) + "/" +
-          noise_key;
-      cache_key.fingerprint = fp.digest();
-      if (const auto hit = cache->lookup(cache_key)) {
-        try {
-          ptf::Measurement cached = ptf::measurement_from_json(hit->at("m"));
-          elapsed = Seconds(hit->at("elapsed").as_number());
-          m = cached;
-          measured = true;
-        } catch (const std::exception& ex) {
-          log::error("store")
-              << "undecodable cache payload for '" << cache_key.task << "' ("
-              << ex.what() << "); re-simulating";
-        }
-      }
-    }
-    if (!measured) {
-      hwsim::NodeSimulator node = node_.clone(noise_key);
-      const Seconds t0 = node.now();
-      const auto run = instr::run_uninstrumented(short_app, node, config);
-      m.node_energy = run.node_energy;
-      m.cpu_energy = run.cpu_energy;
-      m.time = run.wall_time;
-      m.count = 1;
-      elapsed = node.now() - t0;
-      if (cache != nullptr) {
-        Json payload = Json::object();
-        payload["m"] = ptf::to_json(m);
-        payload["elapsed"] = elapsed.value();
-        cache->insert(cache_key, std::move(payload));
-      }
-    }
+    m.node_energy = run.node_energy;
+    m.cpu_energy = run.cpu_energy;
+    m.time = run.wall_time;
+    m.count = 1;
+    const Seconds elapsed = node.now() - t0;
     total += elapsed;
 
     const double score = objective->evaluate(m);
@@ -290,9 +283,14 @@ TuningOutcome QLearningTuner::tune(const TuningRequest& request) {
     state = next;
   }
 
-  out.scenarios_evaluated = options_.episodes;
-  out.app_runs = options_.episodes;
   out.tuning_time = total;
+  if (cache != nullptr) {
+    Json payload = Json::object();
+    payload["best"] = store::to_json(out.best);
+    payload["m"] = ptf::to_json(out.best_measurement);
+    payload["tuning_time"] = out.tuning_time.value();
+    cache->insert(cache_key, std::move(payload));
+  }
   // The clones consumed simulated time off the parent's timeline; put it
   // back so downstream accounting (now() deltas) stays meaningful.
   node_.idle(total);

@@ -13,9 +13,9 @@ class MeasurementStore;
 namespace ecotune::tuners {
 
 /// Hyperparameters of the online Q-learning tuner. All of them (plus the
-/// seed) are part of every cached episode's fingerprint: together with the
+/// seed) are part of the cached call's fingerprint: together with the
 /// deterministic Rng they pin the entire episode schedule, so a warm store
-/// replays the exact trajectory with zero misses.
+/// replays the call's outcome with zero misses.
 struct QLearningOptions {
   int episodes = 48;
   double alpha = 0.5;           ///< learning rate
@@ -32,12 +32,14 @@ struct QLearningOptions {
   int cf_step = 2;
   int ucf_step = 2;
   std::uint64_t seed = 0x9173A2;
-  /// Optional persistent measurement store (not owned): answers individual
-  /// episode measurements from a previous session. Jobs-invariant (the
-  /// walk is inherently serial).
+  /// Optional persistent measurement store (not owned): memoizes each
+  /// tune() call as one entry (best config, best measurement and total
+  /// simulated tuning time), like GovernorTuner. Jobs-invariant (the walk
+  /// is inherently serial).
   store::MeasurementStore* store = nullptr;
-  /// Optional store task-key namespace ("qlearn/<app>/<key_scope>/...");
-  /// see baseline::StaticTunerOptions::key_scope.
+  /// Optional store task-key namespace
+  /// ("qlearn/<app>/<key_scope>/qlearn-<call>"); see
+  /// baseline::StaticTunerOptions::key_scope.
   std::string key_scope;
 };
 

@@ -9,10 +9,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -365,6 +368,68 @@ TEST(ServeService, StatsSnapshotTracksTenantsAndTiming) {
   EXPECT_EQ(result.at("store").at("shards").as_number(), 0.0);
 }
 
+TEST(ServeService, StatsCountsRequestsPerMethod) {
+  auto& service = shared_service();
+  const auto count = [&](const char* method) {
+    const Json stats = service.handle(make_request("stats", Json::object()));
+    return stats.at("result").at("methods").at(method).at("requests")
+        .as_number();
+  };
+  const double pings = count("ping");
+  const double other = count("other");
+  (void)service.handle(make_request("ping", Json::object()));
+  (void)service.handle(make_request("frobnicate", Json::object()));
+  EXPECT_EQ(count("ping"), pings + 1);
+  EXPECT_EQ(count("other"), other + 1);
+  EXPECT_FALSE(service.handle(make_request("stats", Json::object()))
+                   .at("result")
+                   .at("methods")
+                   .contains("frobnicate"));
+}
+
+TEST(ServeStats, MethodsMapHasTheFixedVocabularyShape) {
+  serve::ServiceStats stats;
+  stats.record("alice", "ping", true, 0.001);
+  stats.record("alice", "tune", false, 0.002);
+  stats.record("bob", "no-such-method", false, 0.003);
+  stats.record("bob", "", false, 0.0);  // frame named no method
+  const Json snap = stats.snapshot(0);
+
+  // Every vocabulary name plus "other", nothing else, whatever was sent.
+  std::vector<std::string> expected;
+  for (std::string_view name : serve::kMethodNames)
+    expected.emplace_back(name);
+  expected.emplace_back("other");
+  std::sort(expected.begin(), expected.end());
+  std::vector<std::string> keys;
+  for (const auto& [name, bucket] : snap.at("methods").as_object()) {
+    keys.push_back(name);
+    std::vector<std::string> fields;
+    for (const auto& [field, value] : bucket.as_object()) {
+      fields.push_back(field);
+      EXPECT_TRUE(value.is_number()) << name << "." << field;
+    }
+    EXPECT_EQ(fields, (std::vector<std::string>{"errors", "ok", "p50_ms",
+                                                "p99_ms", "requests"}))
+        << name;
+  }
+  EXPECT_EQ(keys, expected);
+
+  const Json& methods = snap.at("methods");
+  EXPECT_EQ(methods.at("ping").at("requests").as_number(), 1.0);
+  EXPECT_EQ(methods.at("ping").at("ok").as_number(), 1.0);
+  EXPECT_EQ(methods.at("tune").at("errors").as_number(), 1.0);
+  EXPECT_EQ(methods.at("other").at("requests").as_number(), 2.0);
+  EXPECT_EQ(methods.at("other").at("errors").as_number(), 2.0);
+  EXPECT_EQ(methods.at("evaluate").at("requests").as_number(), 0.0);
+  EXPECT_EQ(snap.at("aggregate").at("requests").as_number(), 4.0);
+  // The existing fields are unchanged.
+  EXPECT_EQ(snap.at("aggregate").at("service_time").at("samples").as_number(),
+            4.0);
+  EXPECT_EQ(snap.at("tenants").at("bob").at("errors").as_number(), 2.0);
+  EXPECT_EQ(snap.at("queue_depth").as_number(), 0.0);
+}
+
 TEST(ServeStats, ConcurrentRecordAndSnapshotStayConsistent) {
   serve::ServiceStats stats;
   constexpr int kThreads = 8;
@@ -374,7 +439,8 @@ TEST(ServeStats, ConcurrentRecordAndSnapshotStayConsistent) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&stats, t] {
       for (int i = 0; i < kPerThread; ++i)
-        stats.record("tenant-" + std::to_string(t), i % 2 == 0, 0.001);
+        stats.record("tenant-" + std::to_string(t), "ping", i % 2 == 0,
+                     0.001);
     });
   }
   threads.emplace_back([&stats] {
@@ -390,6 +456,61 @@ TEST(ServeStats, ConcurrentRecordAndSnapshotStayConsistent) {
   const Json final_snap = stats.snapshot(0);
   EXPECT_EQ(final_snap.at("aggregate").at("requests").as_number(),
             static_cast<double>(kThreads * kPerThread));
+}
+
+/// Lines in a store file (one per entry appended).
+long line_count(const std::string& file) {
+  std::ifstream is(file);
+  return static_cast<long>(std::count(std::istreambuf_iterator<char>(is),
+                                      std::istreambuf_iterator<char>(), '\n'));
+}
+
+TEST(ServeService, SearchesWriteOneStoreEntryPerCall) {
+  TempDir dir("entries_per_search");
+  const std::string file =
+      (fs::path(dir.path()) / "measurements.jsonl").string();
+  const auto make_config = [&] {
+    serve::ServiceConfig config;
+    config.session =
+        api::SessionConfig{}.seed(42).epochs(2).cache(dir.path(), "rw");
+    return config;
+  };
+  Json evaluate_params = Json::object();
+  evaluate_params["benchmark"] = "Lulesh";
+  const Json evaluate = make_request("evaluate", evaluate_params, 1, "alice");
+  const Json qlearn = make_request("tune", tune_params("Lulesh", "qlearn"), 2,
+                                   "alice");
+
+  std::string cold_evaluate;
+  std::string cold_qlearn;
+  {
+    serve::TuningService cold(make_config());
+    store::MeasurementStore& store = cold.session().store();
+
+    long writes = store.stats().writes;
+    long lines = line_count(file);
+    const Json e = cold.handle(evaluate);
+    ASSERT_TRUE(e.at("ok").as_bool()) << e.dump(-1);
+    cold_evaluate = e.dump(-1);
+    // The savings row, the static sweep and the two DTA engine chunks.
+    EXPECT_EQ(store.stats().writes - writes, 4);
+    EXPECT_EQ(line_count(file) - lines, 4);
+
+    writes = store.stats().writes;
+    lines = line_count(file);
+    const Json q = cold.handle(qlearn);
+    ASSERT_TRUE(q.at("ok").as_bool()) << q.dump(-1);
+    cold_qlearn = q.dump(-1);
+    EXPECT_EQ(store.stats().writes - writes, 1);
+    EXPECT_EQ(line_count(file) - lines, 1);
+  }
+
+  serve::TuningService warm(make_config());
+  EXPECT_EQ(warm.handle(evaluate).dump(-1), cold_evaluate);
+  EXPECT_EQ(warm.handle(qlearn).dump(-1), cold_qlearn);
+  const store::StoreStats stats = warm.session().store().stats();
+  EXPECT_EQ(stats.misses, 0);
+  EXPECT_EQ(stats.writes, 0);
 }
 
 // --- AF_UNIX server --------------------------------------------------------

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <utility>
 
 #include "baseline/exhaustive_tuner.hpp"
 #include "baseline/static_tuner.hpp"
@@ -15,6 +18,7 @@
 #include "ptf/experiments_engine.hpp"
 #include "store/measurement_store.hpp"
 #include "store/serdes.hpp"
+#include "tuners/qlearning_tuner.hpp"
 #include "workload/suite.hpp"
 
 namespace ecotune {
@@ -483,8 +487,7 @@ TEST(WarmRestart, StaticTunerReplaysBitIdentically) {
   baseline::StaticTuner warm_tuner(warm_node, opts);
   const auto warm = warm_tuner.tune(app);
   EXPECT_EQ(warm_store.stats().misses, 0);
-  EXPECT_EQ(warm_store.stats().hits,
-            static_cast<long>(warm.evaluated.size()));
+  EXPECT_EQ(warm_store.stats().hits, 1);  // one entry per sweep
 
   EXPECT_EQ(warm.best, cold.best);
   EXPECT_EQ(warm.runs, cold.runs);
@@ -552,6 +555,197 @@ TEST(WarmRestart, UndecodablePayloadFallsBackToSimulation) {
     EXPECT_EQ(warm.evaluated[i].time.value(),
               cold.evaluated[i].time.value());
   }
+}
+
+/// Applies `mutate` to the payload of every store line whose task contains
+/// `task_part`, keeping task and fingerprint: the lookup still hits, but
+/// the payload no longer matches what the consumer expects.
+void rewrite_payloads(const std::string& file, std::string_view task_part,
+                      const std::function<void(Json&)>& mutate) {
+  std::ifstream is(file);
+  std::ostringstream rewritten;
+  std::string line;
+  int touched = 0;
+  while (std::getline(is, line)) {
+    Json entry = Json::parse(line);
+    if (entry.at("task").as_string().find(task_part) != std::string::npos) {
+      mutate(entry["payload"]);
+      ++touched;
+    }
+    rewritten << entry.dump(-1) << '\n';
+  }
+  is.close();
+  ASSERT_GT(touched, 0) << "no '" << task_part << "' entry in " << file;
+  std::ofstream os(file, std::ios::trunc);
+  os << rewritten.str();
+}
+
+/// A truncated sweep: every column loses its last point.
+void drop_last_point(Json& payload) {
+  for (auto& [field, column] : payload.as_object())
+    column.as_array().pop_back();
+}
+
+/// An overlong sweep: every column repeats its last point.
+void repeat_last_point(Json& payload) {
+  for (auto& [field, column] : payload.as_object()) {
+    Json::Array& points = column.as_array();
+    points.push_back(Json(points.back()));
+  }
+}
+
+/// Sweep payloads whose point count no longer matches the lattice.
+const std::array<std::pair<const char*, void (*)(Json&)>, 2> kMiscounted{
+    {{"one point fewer", drop_last_point},
+     {"one point more", repeat_last_point}}};
+
+/// (cold jobs, warm jobs): the fallback is jobs-invariant on either side.
+constexpr std::array<std::pair<int, int>, 2> kJobPairs{{{1, 4}, {4, 1}}};
+
+TEST(WarmRestart, MiscountedStaticSweepFallsBackToSimulation) {
+  const auto app = workload::BenchmarkSuite::by_name("Lulesh");
+  baseline::StaticTunerOptions opts;
+  opts.thread_counts = {16, 24};
+  opts.cf_stride = 4;
+  opts.ucf_stride = 4;
+  for (const auto& [what, miscount] : kMiscounted) {
+    for (const auto& [cold_jobs, warm_jobs] : kJobPairs) {
+      SCOPED_TRACE(std::string(what) + ", cold jobs " +
+                   std::to_string(cold_jobs) + ", warm jobs " +
+                   std::to_string(warm_jobs));
+      TempDir dir("static_miscounted");
+      store::MeasurementStore cold_store(dir.path(),
+                                         store::StoreMode::kReadWrite);
+      auto cold_node = test_node();
+      opts.jobs = cold_jobs;
+      opts.store = &cold_store;
+      baseline::StaticTuner cold_tuner(cold_node, opts);
+      const auto cold = cold_tuner.tune(app);
+      EXPECT_EQ(cold_store.stats().writes, 1);  // one entry per sweep
+
+      rewrite_payloads(dir.file(), "static/", miscount);
+
+      std::ostringstream log_sink;
+      log::set_sink(&log_sink);
+      store::MeasurementStore warm_store(dir.path(),
+                                         store::StoreMode::kReadWrite);
+      auto warm_node = test_node();
+      opts.jobs = warm_jobs;
+      opts.store = &warm_store;
+      baseline::StaticTuner warm_tuner(warm_node, opts);
+      const auto warm = warm_tuner.tune(app);
+      log::set_sink(nullptr);
+
+      EXPECT_NE(log_sink.str().find("undecodable cache payload"),
+                std::string::npos);
+      EXPECT_EQ(warm_store.stats().hits, 1);
+      EXPECT_EQ(warm_store.stats().writes, 1);  // the re-simulated sweep
+      EXPECT_EQ(warm.best, cold.best);
+      EXPECT_EQ(warm.runs, cold.runs);
+      EXPECT_EQ(warm.search_time.value(), cold.search_time.value());
+      EXPECT_EQ(warm_node.now().value(), cold_node.now().value());
+      ASSERT_EQ(warm.evaluated.size(), cold.evaluated.size());
+      for (std::size_t i = 0; i < cold.evaluated.size(); ++i) {
+        EXPECT_EQ(warm.evaluated[i].config, cold.evaluated[i].config);
+        EXPECT_EQ(warm.evaluated[i].node_energy.value(),
+                  cold.evaluated[i].node_energy.value());
+        EXPECT_EQ(warm.evaluated[i].cpu_energy.value(),
+                  cold.evaluated[i].cpu_energy.value());
+        EXPECT_EQ(warm.evaluated[i].time.value(),
+                  cold.evaluated[i].time.value());
+      }
+    }
+  }
+}
+
+TEST(WarmRestart, MiscountedExhaustiveSweepFallsBackToSimulation) {
+  const auto app =
+      workload::BenchmarkSuite::by_name("Mcb").with_iterations(4);
+  baseline::ExhaustiveTunerOptions opts;
+  opts.thread_counts = {24};
+  opts.cf_stride = 5;
+  opts.ucf_stride = 5;
+  for (const auto& [what, miscount] : kMiscounted) {
+    for (const auto& [cold_jobs, warm_jobs] : kJobPairs) {
+      SCOPED_TRACE(std::string(what) + ", cold jobs " +
+                   std::to_string(cold_jobs) + ", warm jobs " +
+                   std::to_string(warm_jobs));
+      TempDir dir("exhaustive_miscounted");
+      store::MeasurementStore cold_store(dir.path(),
+                                         store::StoreMode::kReadWrite);
+      auto cold_node = test_node();
+      opts.jobs = cold_jobs;
+      opts.store = &cold_store;
+      baseline::ExhaustiveTuner cold_tuner(cold_node, opts);
+      const auto cold = cold_tuner.tune(app);
+      EXPECT_EQ(cold_store.stats().writes, 1);  // one entry per sweep
+
+      rewrite_payloads(dir.file(), "exhaustive/", miscount);
+
+      std::ostringstream log_sink;
+      log::set_sink(&log_sink);
+      store::MeasurementStore warm_store(dir.path(),
+                                         store::StoreMode::kReadWrite);
+      auto warm_node = test_node();
+      opts.jobs = warm_jobs;
+      opts.store = &warm_store;
+      baseline::ExhaustiveTuner warm_tuner(warm_node, opts);
+      const auto warm = warm_tuner.tune(app);
+      log::set_sink(nullptr);
+
+      EXPECT_NE(log_sink.str().find("undecodable cache payload"),
+                std::string::npos);
+      EXPECT_EQ(warm_store.stats().hits, 1);
+      EXPECT_EQ(warm_store.stats().writes, 1);
+      EXPECT_EQ(warm.app_best, cold.app_best);
+      EXPECT_EQ(warm.region_best, cold.region_best);
+      EXPECT_EQ(warm.runs, cold.runs);
+      EXPECT_EQ(warm.search_time.value(), cold.search_time.value());
+      EXPECT_EQ(warm.formula_runs, cold.formula_runs);
+      EXPECT_EQ(warm.formula_time.value(), cold.formula_time.value());
+      EXPECT_EQ(warm_node.now().value(), cold_node.now().value());
+    }
+  }
+}
+
+TEST(WarmRestart, QLearningPayloadWithoutBestFallsBackToSimulation) {
+  // The walk is inherently serial (QLearningOptions has no jobs knob), so
+  // there is no worker count to vary on either side.
+  const auto app = workload::BenchmarkSuite::by_name("Mcb");
+  tuners::QLearningOptions opts;
+  opts.episodes = 12;
+  opts.phase_iterations = 1;
+  TempDir dir("qlearn_no_best");
+
+  store::MeasurementStore cold_store(dir.path(),
+                                     store::StoreMode::kReadWrite);
+  auto cold_node = test_node();
+  opts.store = &cold_store;
+  tuners::QLearningTuner cold_tuner(cold_node, opts);
+  const std::string cold =
+      cold_tuner.tune(TuningRequest{app, "energy"}).to_json().dump(-1);
+  EXPECT_EQ(cold_store.stats().writes, 1);  // one entry per call
+
+  rewrite_payloads(dir.file(), "qlearn/",
+                   [](Json& payload) { payload.as_object().erase("best"); });
+
+  std::ostringstream log_sink;
+  log::set_sink(&log_sink);
+  store::MeasurementStore warm_store(dir.path(),
+                                     store::StoreMode::kReadWrite);
+  auto warm_node = test_node();
+  opts.store = &warm_store;
+  tuners::QLearningTuner warm_tuner(warm_node, opts);
+  const std::string warm =
+      warm_tuner.tune(TuningRequest{app, "energy"}).to_json().dump(-1);
+  log::set_sink(nullptr);
+
+  EXPECT_NE(log_sink.str().find("undecodable cache payload"),
+            std::string::npos);
+  EXPECT_EQ(warm_store.stats().hits, 1);
+  EXPECT_EQ(warm_store.stats().writes, 1);
+  EXPECT_EQ(warm, cold);
+  EXPECT_EQ(warm_node.now().value(), cold_node.now().value());
 }
 
 TEST(WarmRestart, ExhaustiveTunerReplaysBitIdentically) {
